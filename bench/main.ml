@@ -2,34 +2,58 @@
    paper's evaluation (Sections 2 and 5), then micro-benchmarks this
    library's own primitives with Bechamel.
 
-     dune exec bench/main.exe -- [--jobs N] [--no-cache] [--parallel-bench [FILE]]
-                                 [--obs-bench [FILE]] [--profile-bench [FILE]]
-                                 [--serve-bench [FILE]] [--steal-bench [FILE]]
-                                 [--tail-bench [FILE]]
+     dune exec bench/main.exe -- [--jobs N] [--no-cache] [REPORT [FILE]]
 
    The sweep grid fans out over OCaml 5 domains (--jobs or TQ_JOBS,
-   default: recommended domain count) and completed points are served
-   from _tq_cache/ unless --no-cache.  --parallel-bench times the
-   standard sweep at jobs=1 vs jobs=max and writes BENCH_parallel.json
-   instead of running the full harness; --obs-bench measures the span
-   record path on vs off and writes BENCH_obs_serve.json;
-   --profile-bench measures the latency-attribution machinery
-   (decomposition throughput, disabled-hook costs) and writes
-   BENCH_profile.json; --serve-bench runs the in-process multi-lane
-   serve sweep (a real Server + Load_gen per lane count) and writes
-   BENCH_serve.json.
+   default: recommended domain count); completed points are served from
+   _tq_cache/ unless --no-cache.  REPORT instead writes one JSON report
+   to FILE (default: the committed baseline's name), one of [reports]:
+
+     --parallel-bench  sweep wall time at jobs=1 vs jobs=max
+     --obs-bench       span record path, on vs off
+     --profile-bench   latency attribution: decomposition, disabled hooks
+     --serve-bench     in-process server at lanes=1 vs lanes=2
+     --steal-bench     skewed load, stealing off vs on
+     --tail-bench      tail reservoir offer path, and serving with it off vs on
+
+   The serving reports are [scenario]s, each run by [run_scenario]: an
+   in-process Server (lane 0 on a helper thread) under the open-loop
+   Load_gen on the main thread, stopped and joined before its counts
+   are read.  Every row is checked at quiescence (client tallies against
+   the server's ledger, steals against the steal switch, dossiers
+   against their sojourns); a failed check exits 1 and writes nothing.
+   Every report goes through Bench_meta.write.
 
    Simulated durations scale with TQ_BENCH_SCALE (default 1.0).
    EXPERIMENTS.md records paper-vs-measured for each experiment. *)
 
+module J = Tq_util.Json
+module Server = Tq_serve.Server
+module Load_gen = Tq_serve.Load_gen
+module Latency = Tq_obs.Latency
+module Tail = Tq_obs.Tail
+
+let int = Tq_util.Bench_meta.int
+let fixed = Tq_util.Bench_meta.fixed
+let host_cores () = Domain.recommended_domain_count ()
 let hr () = print_endline (String.make 78 '=')
 
+let banner title =
+  hr ();
+  print_endline title;
+  hr ()
+
+(* A row that fails its check: the report is not written. *)
+exception Check_failed of string
+
+let check_that ok fmt =
+  Printf.ksprintf (fun msg -> if not ok then raise (Check_failed msg)) fmt
+
 let run_experiments ~jobs ~use_cache () =
-  hr ();
-  Printf.printf
-    "Tiny Quanta reproduction — every paper table/figure (TQ_BENCH_SCALE=%.2f, jobs=%d)\n"
-    Tq_experiments.Harness.scale jobs;
-  hr ();
+  banner
+    (Printf.sprintf
+       "Tiny Quanta reproduction — every paper table/figure (TQ_BENCH_SCALE=%.2f, jobs=%d)"
+       Tq_experiments.Harness.scale jobs);
   print_newline ();
   let cache =
     if use_cache then Tq_par.Result_cache.create () else Tq_par.Result_cache.disabled ()
@@ -37,11 +61,9 @@ let run_experiments ~jobs ~use_cache () =
   let stats = Tq_par.Sweep.run_and_print ~jobs ~cache Tq_experiments.Registry.all in
   Printf.printf "[%s]\n\n%!" (Tq_par.Sweep.summary stats)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel sweep benchmark: jobs=1 vs jobs=max over the full grid     *)
-(* ------------------------------------------------------------------ *)
+(* --- Parallel sweep: jobs=1 vs jobs=max over the full grid --- *)
 
-let run_parallel_bench ~out () =
+let run_parallel_bench () =
   let experiments = Tq_experiments.Registry.all in
   let time_run ~jobs =
     (* Cache disabled: both runs must recompute every point.  Compact
@@ -51,287 +73,222 @@ let run_parallel_bench ~out () =
     let _, stats =
       Tq_par.Sweep.run ~jobs ~cache:(Tq_par.Result_cache.disabled ()) experiments
     in
-    (Unix.gettimeofday () -. t0, stats)
+    let wall = Unix.gettimeofday () -. t0 in
+    Printf.eprintf "jobs=%d: %.1fs\n%!" jobs wall;
+    (wall, stats)
   in
   let jobs_max = Tq_par.Domain_pool.default_jobs () in
   Printf.eprintf "parallel bench: %d grid points, jobs=1 then jobs=%d (TQ_BENCH_SCALE=%g)\n%!"
     Tq_experiments.Registry.point_count jobs_max Tq_experiments.Harness.scale;
   let wall1, stats1 = time_run ~jobs:1 in
-  Printf.eprintf "jobs=1: %.1fs\n%!" wall1;
   (* On a single-core host jobs=max *is* jobs=1; a second timed run of
      the identical configuration would only sample noise, so reuse the
      measurement and report the trivial 1.0x. *)
-  let wallN, statsN =
-    if jobs_max <= 1 then (wall1, stats1)
-    else begin
-      let wallN, statsN = time_run ~jobs:jobs_max in
-      Printf.eprintf "jobs=%d: %.1fs\n%!" jobs_max wallN;
-      (wallN, statsN)
-    end
-  in
+  let wallN, statsN = if jobs_max <= 1 then (wall1, stats1) else time_run ~jobs:jobs_max in
   let speedup = if wallN > 0.0 then wall1 /. wallN else 0.0 in
-  let util =
-    Array.to_list statsN.pool.per_domain_busy_ns
-    |> List.map (fun busy ->
-           Printf.sprintf "%.3f"
-             (if statsN.pool.wall_ns = 0 then 0.0
-              else float_of_int busy /. float_of_int statsN.pool.wall_ns))
-    |> String.concat ", "
+  Printf.printf "speedup %.2fx at jobs=%d\n" speedup jobs_max;
+  let util busy =
+    fixed 3
+      (if statsN.pool.wall_ns = 0 then 0.0
+       else float_of_int busy /. float_of_int statsN.pool.wall_ns)
   in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"parallel standard sweep (every registry point)\",\n\
-    \  \"tq_bench_scale\": %g,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"grid_points\": %d,\n\
-    \  \"jobs_1_wall_s\": %.2f,\n\
-    \  \"jobs_max\": %d,\n\
-    \  \"jobs_max_wall_s\": %.2f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"steals\": %d,\n\
-    \  \"per_domain_utilization\": [%s]\n\
-     }\n"
-    Tq_experiments.Harness.scale
-    (Domain.recommended_domain_count ())
-    Tq_experiments.Registry.point_count wall1 jobs_max wallN speedup
-    statsN.pool.steals util;
-  close_out oc;
-  Printf.printf "wrote %s (speedup %.2fx at jobs=%d)\n" out speedup jobs_max
+  [
+    ("benchmark", J.String "parallel standard sweep (every registry point)");
+    ("tq_bench_scale", J.Number Tq_experiments.Harness.scale);
+    ("host_cores", int (host_cores ()));
+    ("grid_points", int Tq_experiments.Registry.point_count);
+    ("jobs_1_wall_s", fixed 2 wall1);
+    ("jobs_max", int jobs_max);
+    ("jobs_max_wall_s", fixed 2 wallN);
+    ("speedup", fixed 2 speedup);
+    ("steals", int statsN.pool.steals);
+    ( "per_domain_utilization",
+      J.List (Array.to_list (Array.map util statsN.pool.per_domain_busy_ns)) );
+  ]
 
-(* ------------------------------------------------------------------ *)
-(* Multi-lane serve sweep: the BENCH_serve.json emitter                 *)
-(* ------------------------------------------------------------------ *)
+(* --- Serving scenarios: one runner behind the serve, steal and tail A/Bs --- *)
 
-(* One in-process loopback run per dispatcher lane count: a real
-   tq_serve Server (lane 0 on a helper thread, extra lanes on their own
-   domains) under the open-loop Load_gen at a fixed offered rate.  The
-   committed BENCH_serve.json is this sweep; CI regenerates it and
-   additionally gates p99(lanes=1)/p99(lanes=2) > 1 on multi-core
-   runners (on a single core the lanes only add coordination, so the
-   speedup is recorded but not gated). *)
+(* One row of a serving report: a server configuration and the load
+   offered to it.  [runs] > 1 keeps the run with the median p99 — a
+   single loopback run's p99 carries its scheduling luck. *)
+type scenario = {
+  label : string * J.t;  (** the row's own column, e.g. ("lanes", 2) *)
+  lanes : int;
+  steal : bool;
+  spans : bool;  (** span sinks sized to hold the whole run *)
+  tail : bool;  (** a k=16 tail reservoir *)
+  rate_rps : float;
+  mix : Load_gen.mix;
+  runs : int;
+}
 
-(* 150k offered rps is the calibrated load: enough to saturate one
-   dispatcher lane (the old single-dispatcher baseline peaked near
-   120k), so the lanes=2 row shows what sharding the I/O plane buys. *)
-let serve_bench_rate = 150_000.0
-let serve_bench_workers = 2
-let serve_bench_lane_counts = [ 1; 2 ]
+let bench_workers = 2
 
-let run_serve_one ~lanes =
+let base_scenario =
+  { label = ("base", J.Null); lanes = 1; steal = false; spans = false; tail = false;
+    rate_rps = 150_000.0; mix = Load_gen.default_mix; runs = 1 }
+
+type row = {
+  sc : scenario;
+  load : Load_gen.result;
+  stats : Server.stats;
+  steals : int;
+  steal_items : int;
+  dossiers : Tail.dossier list;
+  p50_us : float; p99_us : float; p999_us : float;
+}
+
+let row_name r =
+  let key, v = r.sc.label in
+  key ^ "=" ^ J.to_string v
+
+(* What must hold once the server is joined.  The client's tallies and
+   the server's ledger are counted on opposite ends of the socket, so
+   agreement is evidence, not an identity. *)
+let check_row r =
+  let name = row_name r and l = r.load and s = r.stats in
+  check_that (l.outstanding = 0) "%s: %d requests never answered" name l.outstanding;
+  check_that (l.sent = s.parsed) "%s: client sent %d, server parsed %d" name l.sent s.parsed;
+  check_that
+    (l.ok + l.errors = s.completed)
+    "%s: client saw %d ok + %d errors, server completed %d" name l.ok l.errors s.completed;
+  check_that (l.shed = s.shed) "%s: client saw %d shed, server shed %d" name l.shed s.shed;
+  if r.sc.steal then check_that (r.steals > 0) "%s: stealing armed but no steals" name
+  else check_that (r.steals = 0) "%s: stealing off but %d steals" name r.steals;
+  if r.sc.tail then begin
+    check_that (r.dossiers <> []) "%s: the reservoir retained no dossier" name;
+    let attributed = List.filter (fun d -> d.Tail.d_attributed) r.dossiers in
+    List.iter
+      (fun (d : Tail.dossier) ->
+        let sum = List.fold_left (fun acc (_, v) -> acc + v) 0 d.d_stages in
+        check_that (sum = d.d_sojourn_ns) "%s: dossier %d stages sum to %d, sojourn %d" name
+          d.d_entry.e_seq sum d.d_sojourn_ns)
+      attributed;
+    check_that
+      (10 * List.length attributed >= 9 * List.length r.dossiers)
+      "%s: only %d of %d dossiers attributed" name (List.length attributed)
+      (List.length r.dossiers)
+  end
+
+let run_once sc =
   let config =
-    {
-      Tq_serve.Server.default_config with
-      port = 0;
-      workers = serve_bench_workers;
-      lanes;
-      rx_depth = 2048;
-      kv_keys = 1024;
-    }
+    { Server.default_config with
+      port = 0; workers = bench_workers; lanes = sc.lanes; rx_depth = 2048; kv_keys = 1024;
+      steal = sc.steal }
   in
-  let srv = Tq_serve.Server.create config in
-  let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
-  let lcfg =
-    {
-      (Tq_serve.Load_gen.default_config ~rate_rps:serve_bench_rate
-         ~port:(Tq_serve.Server.port srv))
-      with
-      server_lanes = lanes;
-    }
+  (* A sink ring that overwrote an outlier's spans would leave it
+     unattributed at the end-of-run fetch. *)
+  let spans =
+    if sc.spans then Tq_obs.Span.create ~capacity_per_sink:(1 lsl 19) () else Tq_obs.Span.null
   in
-  let r = Tq_serve.Load_gen.run lcfg in
-  Tq_serve.Server.stop srv;
+  let tail = if sc.tail then Tail.create ~k:16 () else Tail.null in
+  let srv = Server.create ~spans ~tail config in
+  let th = Thread.create Server.serve srv in
+  let lcfg = Load_gen.default_config ~rate_rps:sc.rate_rps ~port:(Server.port srv) in
+  let load = Load_gen.run { lcfg with mix = sc.mix; server_lanes = sc.lanes } in
+  let dossiers = if sc.tail then Server.outlier_dossiers srv ~limit:0 else [] in
+  Server.stop srv;
   Thread.join th;
-  let stats = Tq_serve.Server.stats srv in
-  (* The accounting identity must hold on every lane count, or the
-     numbers below measured a broken plane. *)
-  if stats.parsed <> stats.dispatched + stats.shed then
-    failwith
-      (Printf.sprintf "serve bench: lanes=%d parsed %d <> dispatched %d + shed %d"
-         lanes stats.parsed stats.dispatched stats.shed);
-  (lcfg, r, stats)
-
-let run_serve_bench ~out () =
-  hr ();
-  Printf.printf "Multi-lane serve sweep (lanes in {%s}, %d workers, %.0f offered rps)\n"
-    (String.concat ", " (List.map string_of_int serve_bench_lane_counts))
-    serve_bench_workers serve_bench_rate;
-  hr ();
-  let results =
-    List.map
-      (fun lanes ->
-        let _, r, stats = run_serve_one ~lanes in
-        let all = Tq_obs.Latency.recorder r.latency "all" in
-        let p q = float_of_int (Tq_obs.Latency.percentile all q) /. 1e3 in
-        let p50 = p 0.50 and p99 = p 0.99 and p999 = p 0.999 in
-        Printf.printf
-          "lanes=%d: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us (%d ok, %d \
-           shed, %d errors)\n\
-           %!"
-          lanes r.throughput_rps p50 p99 p999 r.ok r.shed r.errors;
-        (lanes, r, stats, (p50, p99, p999)))
-      serve_bench_lane_counts
+  let reg = Server.merged_counters srv in
+  let q = Latency.quantile_us (Latency.recorder load.latency "all") in
+  let count = Tq_obs.Counters.find_count reg in
+  let r =
+    { sc; load; stats = Server.stats srv; dossiers;
+      steals = count "runtime.steals"; steal_items = count "runtime.steal_items";
+      p50_us = q P50; p99_us = q P99; p999_us = q P999 }
   in
-  let p99_of n =
-    List.find_map
-      (fun (lanes, _, _, (_, p99, _)) -> if lanes = n then Some p99 else None)
-      results
-  in
-  let speedup =
-    match (p99_of 1, p99_of 2) with
-    | Some base, Some multi when multi > 0.0 -> base /. multi
-    | _ -> 1.0
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"multi-lane serve sweep (tq_serve loopback)\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"connections\": 8,\n\
-    \  \"offered_rps\": %.0f,\n\
-    \  \"warmup_s\": 0.5,\n\
-    \  \"measure_s\": 2,\n\
-    \  \"sweep\": [\n"
-    (Domain.recommended_domain_count ())
-    serve_bench_workers serve_bench_rate;
-  List.iteri
-    (fun i (lanes, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats),
-            (p50, p99, p999)) ->
-      Printf.fprintf oc
-        "    {\"lanes\": %d, \"throughput_rps\": %.0f, \"ok\": %d, \"shed\": %d, \
-         \"errors\": %d, \"outstanding\": %d,\n\
-        \     \"parsed\": %d, \"dispatched\": %d, \"completed\": %d,\n\
-        \     \"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n"
-        lanes r.throughput_rps r.ok r.shed r.errors r.outstanding s.parsed s.dispatched
-        s.completed p50 p99 p999
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ],\n  \"p99_speedup_lanes2\": %.3f\n}\n" speedup;
-  close_out oc;
-  Printf.printf "wrote %s (p99 speedup lanes=1 -> lanes=2: %.3fx)\n%!" out speedup
+  check_row r;
+  r
 
-(* ------------------------------------------------------------------ *)
-(* Skewed-load steal A/B: the BENCH_steal.json emitter                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Same server, same skewed offered load, steal off vs on.  The mix is
-   heavy-tailed unkeyed echo (a few percent of requests spin ~200x the
-   common case), the shape that strands a backlog of short requests
-   behind whichever worker drew a heavy one — exactly what the idle
-   sibling's steal-half second chance redistributes.  Emits both p99s,
-   the steal counters, and the off/on p99 ratio. *)
-let steal_bench_rate = 40_000.0
-let steal_bench_workers = 2
-
-let run_steal_one ~steal =
-  let config =
-    {
-      Tq_serve.Server.default_config with
-      port = 0;
-      workers = steal_bench_workers;
-      lanes = 1;
-      rx_depth = 2048;
-      kv_keys = 1024;
-      steal;
-    }
-  in
-  let srv = Tq_serve.Server.create config in
-  let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
-  let lcfg =
-    {
-      (Tq_serve.Load_gen.default_config ~rate_rps:steal_bench_rate
-         ~port:(Tq_serve.Server.port srv))
-      with
-      mix =
-        {
-          Tq_serve.Load_gen.default_mix with
-          echo = 0.92;
-          kv = 0.03;
-          tpcc = 0.0;
-          echo_heavy = 0.05;
-          echo_spin_ns = 1_000;
-          echo_heavy_spin_ns = 200_000;
-        };
-    }
-  in
-  let r = Tq_serve.Load_gen.run lcfg in
-  Tq_serve.Server.stop srv;
-  Thread.join th;
-  let stats = Tq_serve.Server.stats srv in
-  if stats.parsed <> stats.dispatched + stats.shed then
-    failwith
-      (Printf.sprintf "steal bench: steal=%b parsed %d <> dispatched %d + shed %d"
-         steal stats.parsed stats.dispatched stats.shed);
-  let reg = Tq_serve.Server.merged_counters srv in
-  let steals = Tq_obs.Counters.find_count reg "runtime.steals" in
-  let steal_items = Tq_obs.Counters.find_count reg "runtime.steal_items" in
-  (r, stats, steals, steal_items)
-
-let run_steal_bench ~out () =
-  hr ();
+let run_scenario sc =
+  let runs = List.init sc.runs (fun _ -> run_once sc) in
+  let by_p99 = List.sort (fun a b -> Float.compare a.p99_us b.p99_us) runs in
+  let r = List.nth by_p99 (sc.runs / 2) in
   Printf.printf
-    "Steal A/B under a skewed offered load (%d workers, %.0f rps, 5%% heavy echoes)\n"
-    steal_bench_workers steal_bench_rate;
-  hr ();
-  let results =
-    List.map
-      (fun steal ->
-        let r, stats, steals, steal_items = run_steal_one ~steal in
-        let all = Tq_obs.Latency.recorder r.latency "all" in
-        let p q = float_of_int (Tq_obs.Latency.percentile all q) /. 1e3 in
-        let p50 = p 0.50 and p99 = p 0.99 and p999 = p 0.999 in
-        Printf.printf
-          "steal=%-3s: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us, %d steal \
-           batches / %d moved (%d ok, %d shed)\n\
-           %!"
-          (if steal then "on" else "off")
-          r.throughput_rps p50 p99 p999 steals steal_items r.ok r.shed;
-        (steal, r, stats, steals, steal_items, (p50, p99, p999)))
-      [ false; true ]
-  in
-  let p99_of v =
-    List.find_map
-      (fun (steal, _, _, _, _, (_, p99, _)) -> if steal = v then Some p99 else None)
-      results
-  in
-  let improvement =
-    match (p99_of false, p99_of true) with
-    | Some off, Some on when on > 0.0 -> off /. on
-    | _ -> 1.0
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"steal A/B under skewed load (tq_serve loopback)\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"offered_rps\": %.0f,\n\
-    \  \"mix\": {\"echo\": 0.92, \"kv\": 0.03, \"echo_heavy\": 0.05, \
-     \"echo_spin_ns\": 1000, \"echo_heavy_spin_ns\": 200000},\n\
-    \  \"sweep\": [\n"
-    (Domain.recommended_domain_count ())
-    steal_bench_workers steal_bench_rate;
-  List.iteri
-    (fun i (steal, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats), steals,
-            steal_items, (p50, p99, p999)) ->
-      Printf.fprintf oc
-        "    {\"steal\": %b, \"throughput_rps\": %.0f, \"ok\": %d, \"shed\": %d, \
-         \"errors\": %d,\n\
-        \     \"parsed\": %d, \"dispatched\": %d, \"completed\": %d, \"steals\": %d, \
-         \"steal_items\": %d,\n\
-        \     \"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n"
-        steal r.throughput_rps r.ok r.shed r.errors s.parsed s.dispatched s.completed
-        steals steal_items p50 p99 p999
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ],\n  \"p99_improvement_steal\": %.3f\n}\n" improvement;
-  close_out oc;
-  Printf.printf "wrote %s (p99 steal off -> on: %.3fx)\n%!" out improvement
+    "%s: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us (%d ok, %d shed, %d errors, %d \
+     steals)\n\
+     %!"
+    (row_name r) r.load.throughput_rps r.p50_us r.p99_us r.p999_us r.load.ok r.load.shed
+    r.load.errors r.steals;
+  r
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the library's own primitives           *)
-(* ------------------------------------------------------------------ *)
+let row_json ~drop r =
+  let fields =
+    [ ("throughput_rps", fixed 0 r.load.throughput_rps); ("ok", int r.load.ok);
+      ("shed", int r.load.shed); ("errors", int r.load.errors);
+      ("outstanding", int r.load.outstanding); ("parsed", int r.stats.parsed);
+      ("dispatched", int r.stats.dispatched); ("completed", int r.stats.completed);
+      ("steals", int r.steals); ("steal_items", int r.steal_items);
+      ("p50_us", fixed 1 r.p50_us); ("p99_us", fixed 1 r.p99_us);
+      ("p999_us", fixed 1 r.p999_us) ]
+  in
+  J.Obj (r.sc.label :: List.filter (fun (k, _) -> not (List.mem k drop)) fields)
+
+(* p99 of [base] over p99 of [other]: > 1 when [other] has the lower tail. *)
+let p99_ratio base other =
+  fixed 3 (if other.p99_us > 0.0 then base.p99_us /. other.p99_us else 1.0)
+
+(* An A/B report: runs [sa] then [sb]; both rows' shared setting, the
+   rows, and one ratio. *)
+let ab_report ~benchmark ~setting ~drop ~ratio sa sb =
+  let a = run_scenario sa in
+  let b = run_scenario sb in
+  [
+    ("benchmark", J.String benchmark);
+    ("host_cores", int (host_cores ()));
+    ("workers", int bench_workers);
+  ]
+  @ setting
+  @ [ ("sweep", J.List [ row_json ~drop a; row_json ~drop b ]); (ratio, p99_ratio a b) ]
+
+(* 150k offered rps saturates one dispatcher lane (the single-dispatcher
+   baseline peaked near 120k), so the lanes=2 row shows what sharding
+   the I/O plane buys.  The ratio is gated only on a multi-core host: on
+   one core the lanes only add coordination. *)
+let run_serve_bench () =
+  let lcfg = Load_gen.default_config ~rate_rps:base_scenario.rate_rps ~port:0 in
+  banner
+    (Printf.sprintf "Multi-lane serve sweep (lanes in {1, 2}, %d workers, %.0f offered rps)"
+       bench_workers lcfg.rate_rps);
+  let lanes n = { base_scenario with label = ("lanes", int n); lanes = n } in
+  ab_report ~benchmark:"multi-lane serve sweep (tq_serve loopback)"
+    ~setting:
+      [ ("connections", int lcfg.connections); ("offered_rps", fixed 0 lcfg.rate_rps);
+        ("warmup_s", J.Number lcfg.warmup_s); ("measure_s", J.Number lcfg.measure_s) ]
+    ~drop:[ "steals"; "steal_items" ] ~ratio:"p99_speedup_lanes2" (lanes 1) (lanes 2)
+
+(* Same server, same skewed load, steal off vs on.  A few percent of
+   echoes spin ~200x the common case: the shape that strands short
+   requests behind whichever worker drew a heavy one, which the idle
+   sibling's steal-half redistributes. *)
+let steal_mix =
+  { Load_gen.default_mix with
+    echo = 0.92; kv = 0.03; tpcc = 0.0; echo_heavy = 0.05; echo_spin_ns = 1_000;
+    echo_heavy_spin_ns = 200_000 }
+
+let run_steal_bench () =
+  let rate_rps = 40_000.0 in
+  banner
+    (Printf.sprintf
+       "Steal A/B under a skewed offered load (%d workers, %.0f rps, 5%% heavy echoes)"
+       bench_workers rate_rps);
+  let steal on =
+    { base_scenario with label = ("steal", J.Bool on); steal = on; rate_rps; mix = steal_mix }
+  in
+  let m = steal_mix in
+  ab_report ~benchmark:"steal A/B under skewed load (tq_serve loopback)"
+    ~setting:
+      [
+        ("offered_rps", fixed 0 rate_rps);
+        ( "mix",
+          J.Obj
+            [ ("echo", J.Number m.echo); ("kv", J.Number m.kv);
+              ("echo_heavy", J.Number m.echo_heavy); ("echo_spin_ns", int m.echo_spin_ns);
+              ("echo_heavy_spin_ns", int m.echo_heavy_spin_ns) ] );
+      ]
+    ~drop:[ "outstanding" ] ~ratio:"p99_improvement_steal" (steal false) (steal true)
+
+(* --- Bechamel micro-benchmarks of the library's own primitives --- *)
 
 open Bechamel
 open Toolkit
@@ -383,11 +340,9 @@ let test_spsc =
 
 let test_skiplist =
   let sl = Tq_kv.Skiplist.create () in
-  let () =
-    for i = 0 to 9_999 do
-      Tq_kv.Skiplist.insert sl (Printf.sprintf "key%08d" i) i
-    done
-  in
+  for i = 0 to 9_999 do
+    Tq_kv.Skiplist.insert sl (Printf.sprintf "key%08d" i) i
+  done;
   let i = ref 0 in
   Test.make ~name:"skiplist find (10k keys)"
     (Staged.stage (fun () ->
@@ -465,40 +420,22 @@ let test_trace_enabled =
 let test_trace_disabled =
   make_trace_test ~name:"obs trace record (disabled)" Tq_obs.Trace.null
 
-(* ns/run and minor-words/run OLS estimates for one test. *)
-let measure_ns_words test =
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~stabilize:false ~kde:None ()
-  in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Benchmark.all cfg instances test in
-  let estimate instance =
-    let analyzed = Analyze.all ols instance results in
-    Hashtbl.fold
-      (fun _ ols_result acc ->
-        match Analyze.OLS.estimates ols_result with
-        | Some [ v ] -> Some v
-        | _ -> acc)
-      analyzed None
-  in
-  (estimate Instance.monotonic_clock, estimate Instance.minor_allocated)
-
-let pp_estimate = function Some v -> Printf.sprintf "%10.2f" v | None -> "       n/a"
-
+(* Prints and returns one test's ns/run and minor-words/run OLS
+   estimates. *)
 let print_ns_words test =
-  let ns, words = measure_ns_words test in
-  let name = Test.Elt.name (List.hd (Test.elements test)) in
-  Printf.printf "%-34s %s ns/run  %s minor words/run\n%!" name (pp_estimate ns)
-    (pp_estimate words);
+  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~stabilize:false ~kde:None () in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  let results = Benchmark.all cfg Instance.[ monotonic_clock; minor_allocated ] test in
+  let estimate instance =
+    Hashtbl.fold
+      (fun _ r acc -> match Analyze.OLS.estimates r with Some [ v ] -> Some v | _ -> acc)
+      (Analyze.all ols instance results) None
+  in
+  let ns = estimate Instance.monotonic_clock and words = estimate Instance.minor_allocated in
+  let pp = function Some v -> Printf.sprintf "%10.2f" v | None -> "       n/a" in
+  Printf.printf "%-34s %s ns/run  %s minor words/run\n%!"
+    (Test.Elt.name (List.hd (Test.elements test))) (pp ns) (pp words);
   (ns, words)
-
-let run_trace_overhead () =
-  hr ();
-  print_endline "Trace record-path overhead (tracing on vs off)";
-  hr ();
-  List.iter (fun t -> ignore (print_ns_words t)) [ test_trace_enabled; test_trace_disabled ];
-  print_newline ()
 
 (* Span record-path overhead: what every request on the serve path pays
    for cross-domain spans.  Without --obs the server holds [null_sink]s,
@@ -513,45 +450,33 @@ let make_span_test ~name sink =
          Tq_obs.Span.record sink ~req_id:!ts ~phase:Tq_obs.Span.Dispatch ~start_ns:!ts
            ~dur_ns:10 ~arg:0))
 
-let run_obs_bench ~out () =
-  hr ();
-  print_endline "Span record-path overhead (serve observability on vs off)";
-  hr ();
+(* A measured (ns, words) pair as its two report fields. *)
+let ns_words prefix (ns, words) =
+  let num = function Some v -> fixed 3 v | None -> J.Null in
+  [ (prefix ^ "_ns_per_run", num ns); (prefix ^ "_minor_words_per_run", num words) ]
+
+let run_obs_bench () =
+  banner "Span record-path overhead (serve observability on vs off)";
   let live_sink =
     Tq_obs.Span.register
       (Tq_obs.Span.create ~capacity_per_sink:4096 ())
       (Tq_obs.Event.Dispatcher 0)
   in
-  let enabled =
-    print_ns_words (make_span_test ~name:"span record (enabled)" live_sink)
-  in
+  let enabled = print_ns_words (make_span_test ~name:"span record (enabled)" live_sink) in
   let disabled =
     print_ns_words (make_span_test ~name:"span record (disabled)" Tq_obs.Span.null_sink)
   in
   print_newline ();
-  let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"cross-domain span record path (tq_serve observability)\",\n\
-    \  \"enabled_ns_per_run\": %s,\n\
-    \  \"enabled_minor_words_per_run\": %s,\n\
-    \  \"disabled_ns_per_run\": %s,\n\
-    \  \"disabled_minor_words_per_run\": %s\n\
-     }\n"
-    (num (fst enabled)) (num (snd enabled)) (num (fst disabled)) (num (snd disabled));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
+  (("benchmark", J.String "cross-domain span record path (tq_serve observability)")
+  :: ns_words "enabled" enabled)
+  @ ns_words "disabled" disabled
 
-(* Profiling-path overhead: what the latency-attribution machinery
-   costs.  Three numbers matter — how fast [Profile.of_records]
-   decomposes a realistic span stream (an offline/stats-RPC cost, so
-   "fast enough" is thousands of requests per ms), and what the two
-   disabled hot-path hooks cost per request when observability is off:
-   the null-sink span record (must stay 0 minor words, one branch) and
-   the gc-clock check at quantum end (a [match] on a [None] the
-   optimizer must not fold away, hence [Sys.opaque_identity]). *)
-
+(* Profiling-path overhead: how fast [Profile.of_records] decomposes a
+   realistic span stream (thousands of requests per ms is enough), and
+   what the two disabled hot-path hooks cost per request: the null-sink
+   span record (0 minor words, one branch) and the gc-clock check at
+   quantum end (a [match] on a [None] the optimizer must not fold away,
+   hence [Sys.opaque_identity]). *)
 let synthetic_stream n =
   let lane_d = Tq_obs.Event.Dispatcher 0 in
   let lane_w = Tq_obs.Event.Worker 0 in
@@ -572,17 +497,15 @@ let synthetic_stream n =
            mk i Tq_obs.Span.Reply_flush lane_d (p0 + 9_650) 600;
          ]))
 
-let run_profile_bench ~out () =
-  hr ();
-  print_endline "Latency-attribution overhead (decomposition + disabled hot paths)";
-  hr ();
+let run_profile_bench () =
+  banner "Latency-attribution overhead (decomposition + disabled hot paths)";
   let n = 10_000 in
   let stream = synthetic_stream n in
   let decompose_test =
     Test.make ~name:(Printf.sprintf "profile decompose (%d reqs)" n)
       (Staged.stage (fun () -> ignore (Tq_obs.Profile.of_records stream)))
   in
-  let decompose = print_ns_words decompose_test in
+  let decompose_ns, _ = print_ns_words decompose_test in
   let span_disabled =
     print_ns_words (make_span_test ~name:"span record (disabled)" Tq_obs.Span.null_sink)
   in
@@ -597,54 +520,28 @@ let run_profile_bench ~out () =
   (* Correctness ride-along: the synthetic stream must decompose
      exactly, or the timing above measured the degraded path. *)
   let p = Tq_obs.Profile.of_records stream in
-  assert (Tq_obs.Profile.requests p = n);
-  assert (Tq_obs.Profile.invariant_ok p);
+  check_that (Tq_obs.Profile.requests p = n) "profile: %d of %d requests decomposed"
+    (Tq_obs.Profile.requests p) n;
+  check_that (Tq_obs.Profile.invariant_ok p) "profile: stage sums miss the sojourn";
   print_newline ();
-  let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-  let per_req = function
-    | Some v -> Printf.sprintf "%.1f" (v /. float_of_int n)
-    | None -> "null"
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"latency attribution overhead (tq_obs profile)\",\n\
-    \  \"decompose_requests\": %d,\n\
-    \  \"decompose_ns_per_request\": %s,\n\
-    \  \"decompose_exact_fraction\": %.4f,\n\
-    \  \"disabled_span_ns_per_run\": %s,\n\
-    \  \"disabled_span_minor_words_per_run\": %s,\n\
-    \  \"disabled_gc_check_ns_per_run\": %s,\n\
-    \  \"disabled_gc_check_minor_words_per_run\": %s\n\
-     }\n"
-    n (per_req (fst decompose))
-    (Tq_obs.Profile.exact_fraction p)
-    (num (fst span_disabled))
-    (num (snd span_disabled))
-    (num (fst gc_check))
-    (num (snd gc_check));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
+  [
+    ("benchmark", J.String "latency attribution overhead (tq_obs profile)");
+    ("decompose_requests", int n);
+    ( "decompose_ns_per_request",
+      match decompose_ns with Some v -> fixed 1 (v /. float_of_int n) | None -> J.Null );
+    ("decompose_exact_fraction", fixed 4 (Tq_obs.Profile.exact_fraction p));
+  ]
+  @ ns_words "disabled_span" span_disabled
+  @ ns_words "disabled_gc_check" gc_check
 
-(* Tail-forensics overhead: the BENCH_tail.json emitter.
-
-   The reservoir sits on the dispatcher's reply pop — the per-request
-   hot path — so two micro numbers are gated: the disabled offer (a
-   null sink must cost one branch, 0 minor words, same discipline as
-   the disabled span record) and the enabled common case (a fast
-   request rejected against a full reservoir's floor: one compare, no
-   allocation).  Then the macro A/B: the full serve loop at the
-   BENCH_serve calibrated load with forensics off vs on (tail + spans,
-   the real "tail forensics on" configuration), emitting both p99s and
-   the relative penalty — the always-on claim is that the penalty
-   stays under 5%. *)
-
-(* The A/B runs below the 2-worker saturation cliff: at the smoke rate
-   (150k rps) p99 is queueing-dominated and swings by whole
-   milliseconds run to run, drowning any reservoir signal.  70k rps
-   keeps the workers busy but the tail stable enough to gate at 5%. *)
-let tail_bench_rate = 70_000.0
-
+(* Tail-forensics overhead.  The reservoir sits on the dispatcher's
+   reply pop, the per-request hot path, so two micro numbers are gated:
+   the disabled offer (a null sink: one branch, 0 minor words) and the
+   enabled common case (a fast request rejected against a full
+   reservoir's floor: one compare, no allocation).  Then the serving
+   A/B: spans on in BOTH rows (dossier attribution rides on them), the
+   reservoir off vs k=16, so the penalty is the reservoir's own.  The
+   always-on claim is a p99 penalty under 5%. *)
 let make_tail_test ~name sink =
   let seq = ref 0 in
   Test.make ~name
@@ -656,179 +553,78 @@ let make_tail_test ~name sink =
            ~sojourn_ns:1 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
            ~deque_depth:0))
 
-let run_tail_one ~tail_on =
-  let config =
-    {
-      Tq_serve.Server.default_config with
-      port = 0;
-      workers = serve_bench_workers;
-      lanes = 1;
-      rx_depth = 2048;
-      kv_keys = 1024;
-    }
-  in
-  (* Spans stay on in BOTH rows (the serve smoke always runs --obs, and
-     dossier attribution rides on them): the A/B isolates the tail
-     reservoir's own marginal cost, not the span sinks'.  The sinks are
-     sized to hold the whole run so every retained outlier is still
-     attributable at the end-of-run dossier fetch — a ring that has
-     overwritten an outlier's spans degrades it to unattributed. *)
-  let spans = Tq_obs.Span.create ~capacity_per_sink:(1 lsl 19) () in
-  let tail = if tail_on then Tq_obs.Tail.create ~k:16 () else Tq_obs.Tail.null in
-  let srv = Tq_serve.Server.create ~spans ~tail config in
-  let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
-  let lcfg =
-    Tq_serve.Load_gen.default_config ~rate_rps:tail_bench_rate
-      ~port:(Tq_serve.Server.port srv)
-  in
-  let r = Tq_serve.Load_gen.run lcfg in
-  let dossiers =
-    if tail_on then Tq_serve.Server.outlier_dossiers srv ~limit:0 else []
-  in
-  Tq_serve.Server.stop srv;
-  Thread.join th;
-  let stats = Tq_serve.Server.stats srv in
-  if stats.parsed <> stats.dispatched + stats.shed then
-    failwith
-      (Printf.sprintf "tail bench: tail=%b parsed %d <> dispatched %d + shed %d"
-         tail_on stats.parsed stats.dispatched stats.shed);
-  let all = Tq_obs.Latency.recorder r.latency "all" in
-  let p99 = float_of_int (Tq_obs.Latency.percentile all 0.99) /. 1e3 in
-  (r, p99, dossiers)
-
-let run_tail_bench ~out () =
-  hr ();
-  print_endline "Tail-forensics offer-path overhead (reservoir admit gate)";
-  hr ();
-  let live = Tq_obs.Tail.create ~k:16 () in
-  let live_sink = Tq_obs.Tail.register live ~lane:0 in
+let run_tail_bench () =
+  banner "Tail-forensics offer-path overhead (reservoir admit gate)";
+  let live = Tail.create ~k:16 () in
+  let live_sink = Tail.register live ~lane:0 in
   (* Fill the reservoir with slow entries so the benched offers below
      (sojourn 1 ns) all take the common-case reject branch. *)
   for i = 1 to 16 do
-    Tq_obs.Tail.offer live_sink ~now_ns:1 ~seq:(-i) ~class_idx:0 ~worker:0
-      ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1)
-      ~inject_depth:0 ~deque_depth:0
+    Tail.offer live_sink ~now_ns:1 ~seq:(-i) ~class_idx:0 ~worker:0 ~sojourn_ns:1_000_000
+      ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0 ~deque_depth:0
   done;
-  let reject =
-    print_ns_words (make_tail_test ~name:"tail offer (enabled, reject)" live_sink)
-  in
-  let disabled =
-    print_ns_words (make_tail_test ~name:"tail offer (disabled)" Tq_obs.Tail.null_sink)
-  in
+  let reject = print_ns_words (make_tail_test ~name:"tail offer (enabled, reject)" live_sink) in
+  let disabled = print_ns_words (make_tail_test ~name:"tail offer (disabled)" Tail.null_sink) in
   print_newline ();
-  hr ();
-  Printf.printf
-    "Tail-forensics serve A/B (%d workers, %.0f offered rps, spans on in both \
-     rows, reservoir off vs k=16)\n"
-    serve_bench_workers tail_bench_rate;
-  hr ();
-  (* p99 of a single loopback run is noisy; take the median of three
-     runs per row so the committed penalty reflects the reservoir, not
-     one run's scheduling luck. *)
-  let median3 f =
-    let runs = List.init 3 (fun _ -> f ()) in
-    let sorted = List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) runs in
-    List.nth sorted 1
+  (* 70k rps keeps both workers busy below the saturation cliff, where
+     the tail is stable enough to compare at 5%. *)
+  let rate_rps = 70_000.0 in
+  banner
+    (Printf.sprintf
+       "Tail-forensics serve A/B (%d workers, %.0f offered rps, spans on in both rows, \
+        reservoir off vs k=16, median of 3)"
+       bench_workers rate_rps);
+  let sc on =
+    { base_scenario with label = ("tail", J.Bool on); spans = true; tail = on; rate_rps; runs = 3 }
   in
-  let _, p99_off, _ = median3 (fun () -> run_tail_one ~tail_on:false) in
-  Printf.printf "reservoir off: p99 %.0f us\n%!" p99_off;
-  let _, p99_on, dossiers = median3 (fun () -> run_tail_one ~tail_on:true) in
-  Printf.printf "reservoir on:  p99 %.0f us (%d dossiers retained)\n%!" p99_on
-    (List.length dossiers);
-  (* Correctness ride-along: every attributed dossier's stages must
-     telescope to its sojourn exactly, or the A/B above measured a
-     broken attribution path. *)
-  let attributed =
-    List.filter (fun d -> d.Tq_obs.Tail.d_attributed) dossiers
-  in
-  List.iter
-    (fun d ->
-      let sum = List.fold_left (fun acc (_, v) -> acc + v) 0 d.Tq_obs.Tail.d_stages in
-      if sum <> d.Tq_obs.Tail.d_sojourn_ns then
-        failwith
-          (Printf.sprintf "tail bench: dossier %d stage sum %d <> sojourn %d"
-             d.Tq_obs.Tail.d_entry.Tq_obs.Tail.e_seq sum d.Tq_obs.Tail.d_sojourn_ns))
-    attributed;
-  assert (dossiers <> []);
-  if attributed = [] then
-    failwith "tail bench: no retained dossier could be attributed to stages";
-  let penalty = if p99_off > 0.0 then (p99_on -. p99_off) /. p99_off else 0.0 in
-  let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"tail forensics overhead (tq_serve loopback)\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"offered_rps\": %.0f,\n\
-    \  \"reservoir_k\": 16,\n\
-    \  \"disabled_offer_ns_per_run\": %s,\n\
-    \  \"disabled_offer_minor_words_per_run\": %s,\n\
-    \  \"reject_offer_ns_per_run\": %s,\n\
-    \  \"reject_offer_minor_words_per_run\": %s,\n\
-    \  \"p99_off_us\": %.1f,\n\
-    \  \"p99_on_us\": %.1f,\n\
-    \  \"p99_penalty_frac\": %.4f,\n\
-    \  \"retained\": %d,\n\
-    \  \"attributed_fraction\": %.4f\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    serve_bench_workers tail_bench_rate
-    (num (fst disabled)) (num (snd disabled))
-    (num (fst reject)) (num (snd reject))
-    p99_off p99_on penalty (List.length dossiers)
-    (if dossiers = [] then 0.0
-     else float_of_int (List.length attributed) /. float_of_int (List.length dossiers));
-  close_out oc;
-  Printf.printf "wrote %s (p99 penalty %.1f%%)\n%!" out (100.0 *. penalty)
+  let off = run_scenario (sc false) in
+  let on = run_scenario (sc true) in
+  let retained = List.length on.dossiers in
+  let attributed = List.length (List.filter (fun d -> d.Tail.d_attributed) on.dossiers) in
+  [
+    ("benchmark", J.String "tail forensics overhead (tq_serve loopback)");
+    ("host_cores", int (host_cores ()));
+    ("workers", int bench_workers);
+    ("offered_rps", fixed 0 rate_rps);
+    ("reservoir_k", int 16);
+  ]
+  @ ns_words "disabled_offer" disabled
+  @ ns_words "reject_offer" reject
+  @ [
+      ("p99_off_us", fixed 1 off.p99_us);
+      ("p99_on_us", fixed 1 on.p99_us);
+      ("p99_penalty_frac", fixed 4 ((on.p99_us -. off.p99_us) /. off.p99_us));
+      ("retained", int retained);
+      ("attributed_fraction", fixed 4 (float_of_int attributed /. float_of_int retained));
+    ]
 
 let run_microbenchmarks () =
-  hr ();
-  print_endline "Micro-benchmarks of library primitives (ns per run, OLS fit)";
-  hr ();
-  let tests =
-    [
-      test_heap;
-      test_prng;
-      test_sim_event;
-      test_fiber;
-      test_probe;
-      test_spsc;
-      test_skiplist;
-      test_cache;
-      test_deque;
-      test_backoff;
-      test_serve_codec;
-      test_admission;
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~stabilize:false ~kde:None ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  banner "Micro-benchmarks of library primitives (OLS fit per run)";
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns_per_run ] -> Printf.printf "%-34s %10.1f ns/run\n" name ns_per_run
-          | _ -> Printf.printf "%-34s (no estimate)\n" name)
-        analyzed)
-    tests;
+    (fun t -> ignore (print_ns_words t))
+    [
+      test_heap; test_prng; test_sim_event; test_fiber; test_probe; test_spsc; test_skiplist;
+      test_cache; test_deque; test_backoff; test_serve_codec; test_admission;
+      test_trace_enabled; test_trace_disabled;
+    ];
   print_newline ()
+
+(* Every report: its flag, its default file (the committed baseline),
+   its runner. *)
+let reports =
+  [
+    ("--parallel-bench", ("BENCH_parallel.json", run_parallel_bench));
+    ("--obs-bench", ("BENCH_obs_serve.json", run_obs_bench));
+    ("--profile-bench", ("BENCH_profile.json", run_profile_bench));
+    ("--serve-bench", ("BENCH_serve.json", run_serve_bench));
+    ("--steal-bench", ("BENCH_steal.json", run_steal_bench));
+    ("--tail-bench", ("BENCH_tail.json", run_tail_bench));
+  ]
 
 let () =
   let jobs = ref 0 in
   let use_cache = ref true in
-  let parallel_bench = ref None in
-  let obs_bench = ref None in
-  let profile_bench = ref None in
-  let serve_bench = ref None in
-  let steal_bench = ref None in
-  let tail_bench = ref None in
+  let chosen = ref [] in
   let rec parse = function
     | [] -> ()
     | "--jobs" :: n :: rest ->
@@ -839,41 +635,12 @@ let () =
     | "--no-cache" :: rest ->
         use_cache := false;
         parse rest
-    | "--parallel-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        parallel_bench := Some path;
+    | flag :: path :: rest
+      when List.mem_assoc flag reports && String.length path > 0 && path.[0] <> '-' ->
+        chosen := (flag, path) :: !chosen;
         parse rest
-    | "--parallel-bench" :: rest ->
-        parallel_bench := Some "BENCH_parallel.json";
-        parse rest
-    | "--obs-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        obs_bench := Some path;
-        parse rest
-    | "--obs-bench" :: rest ->
-        obs_bench := Some "BENCH_obs_serve.json";
-        parse rest
-    | "--profile-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        profile_bench := Some path;
-        parse rest
-    | "--profile-bench" :: rest ->
-        profile_bench := Some "BENCH_profile.json";
-        parse rest
-    | "--serve-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        serve_bench := Some path;
-        parse rest
-    | "--serve-bench" :: rest ->
-        serve_bench := Some "BENCH_serve.json";
-        parse rest
-    | "--steal-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        steal_bench := Some path;
-        parse rest
-    | "--steal-bench" :: rest ->
-        steal_bench := Some "BENCH_steal.json";
-        parse rest
-    | "--tail-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        tail_bench := Some path;
-        parse rest
-    | "--tail-bench" :: rest ->
-        tail_bench := Some "BENCH_tail.json";
+    | flag :: rest when List.mem_assoc flag reports ->
+        chosen := (flag, fst (List.assoc flag reports)) :: !chosen;
         parse rest
     | arg :: _ ->
         Printf.eprintf "bench: unknown argument %s\n" arg;
@@ -881,20 +648,20 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let jobs = if !jobs = 0 then Tq_par.Domain_pool.default_jobs () else !jobs in
-  match
-    ( !parallel_bench, !obs_bench, !profile_bench, !serve_bench, !steal_bench,
-      !tail_bench )
-  with
-  | Some out, _, _, _, _, _ -> run_parallel_bench ~out ()
-  | None, Some out, _, _, _, _ -> run_obs_bench ~out ()
-  | None, None, Some out, _, _, _ -> run_profile_bench ~out ()
-  | None, None, None, Some out, _, _ -> run_serve_bench ~out ()
-  | None, None, None, None, Some out, _ -> run_steal_bench ~out ()
-  | None, None, None, None, None, Some out -> run_tail_bench ~out ()
-  | None, None, None, None, None, None ->
+  (* One report per invocation: the first of [reports] asked for. *)
+  match List.find_opt (fun (flag, _) -> List.mem_assoc flag !chosen) reports with
+  | Some (flag, (_, run)) -> (
+      let out = List.assoc flag !chosen in
+      match run () with
+      | fields ->
+          Out_channel.with_open_text out (fun oc -> Tq_util.Bench_meta.write oc fields);
+          Printf.printf "wrote %s\n%!" out
+      | exception Check_failed msg ->
+          Printf.eprintf "bench: %s check failed, %s not written: %s\n" flag out msg;
+          exit 1)
+  | None ->
       run_experiments ~jobs ~use_cache:!use_cache ();
       run_microbenchmarks ();
-      run_trace_overhead ();
       hr ();
       print_endline "Done. See EXPERIMENTS.md for paper-vs-measured commentary.";
       hr ()

@@ -177,12 +177,11 @@ let serve host port cores lanes quantum_us ring rx_depth admission steal kv_keys
   let summary =
     Printf.sprintf
       "{\"connections\": %d, \"parsed\": %d, \"dispatched\": %d, \"completed\": %d, \
-       \"shed\": %d, \"lost\": %d, \"dropped\": %d, \"stats_served\": %d, \
+       \"shed\": %d, \"lost\": %d, \"stats_served\": %d, \
        \"protocol_errors\": %d, \"orphaned\": %d, \
        \"duplicates\": %d, \"redispatched\": %d, \"dead_workers\": %d}"
-      s.connections s.parsed s.dispatched s.completed s.shed s.lost s.dropped
-      s.stats_served s.protocol_errors s.orphaned s.duplicates s.redispatched
-      s.dead_workers
+      s.connections s.parsed s.dispatched s.completed s.shed s.lost s.stats_served
+      s.protocol_errors s.orphaned s.duplicates s.redispatched s.dead_workers
   in
   Printf.printf "tq_serve: drained. %s\n%!" summary;
   (match stats_out with

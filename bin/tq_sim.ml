@@ -287,6 +287,14 @@ let trace_cmd =
     Term.(const trace_run $ system $ workload $ quantum $ load $ duration $ seed_arg $ out
           $ csv_out $ dump_events)
 
+(* --- JSON reports of faults and adaptive --- *)
+
+module J = Tq_util.Json
+
+let int = Tq_util.Bench_meta.int
+let fixed = Tq_util.Bench_meta.fixed
+let eventual_p99_us m = Tq_workload.Metrics.overall_eventual_percentile m 99.0 /. 1e3
+
 (* --- faults --- *)
 
 let faults_run system_name workload_name quick json =
@@ -294,30 +302,28 @@ let faults_run system_name workload_name quick json =
   let system = find_system system_name ~quantum_ns:(Tq_util.Time_unit.us 2.0) in
   if json then begin
     let points = Tq_experiments.Faults.goodput_points ~quick ~system ~workload () in
-    let n = List.length points in
-    print_string "{\n";
-    print_string (Tq_util.Bench_meta.json_fields ());
-    Printf.printf "  \"experiment\": \"faults\",\n";
-    Printf.printf "  \"system\": %S,\n" system_name;
-    Printf.printf "  \"workload\": %S,\n" workload.Tq_workload.Service_dist.name;
-    Printf.printf "  \"quick\": %b,\n" quick;
-    Printf.printf "  \"points\": [\n";
-    List.iteri
-      (fun i (intensity, (r : Tq_fault.Fault_experiment.result)) ->
-        Printf.printf
-          "    {\"stall_intensity\": %g, \"goodput_ratio\": %.4f, \"goodput_rps\": %.0f, \
-           \"eventual_p99_us\": %.2f, \"retries\": %d, \"retries_exhausted\": %d, \
-           \"lost\": %d, \"stranded\": %d, \"stalls_injected\": %d}%s\n"
-          intensity
-          (Tq_fault.Fault_experiment.goodput_ratio r)
-          r.goodput_rps
-          (Tq_workload.Metrics.overall_eventual_percentile r.metrics 99.0 /. 1e3)
-          (Tq_workload.Metrics.retries r.metrics)
-          (Tq_workload.Metrics.retries_exhausted r.metrics)
-          r.lost r.stranded r.stalls_injected
-          (if i = n - 1 then "" else ","))
-      points;
-    print_string "  ]\n}\n"
+    let point (intensity, (r : Tq_fault.Fault_experiment.result)) =
+      J.Obj
+        [
+          ("stall_intensity", J.Number intensity);
+          ("goodput_ratio", fixed 4 (Tq_fault.Fault_experiment.goodput_ratio r));
+          ("goodput_rps", fixed 0 r.goodput_rps);
+          ("eventual_p99_us", fixed 2 (eventual_p99_us r.metrics));
+          ("retries", int (Tq_workload.Metrics.retries r.metrics));
+          ("retries_exhausted", int (Tq_workload.Metrics.retries_exhausted r.metrics));
+          ("lost", int r.lost);
+          ("stranded", int r.stranded);
+          ("stalls_injected", int r.stalls_injected);
+        ]
+    in
+    Tq_util.Bench_meta.write stdout
+      [
+        ("experiment", J.String "faults");
+        ("system", J.String system_name);
+        ("workload", J.String workload.Tq_workload.Service_dist.name);
+        ("quick", J.Bool quick);
+        ("points", J.List (List.map point points));
+      ]
   end
   else
     List.iter Tq_util.Text_table.print
@@ -352,40 +358,39 @@ let adaptive_run workload_name quick json =
   let workload = find_workload workload_name in
   let outcomes = Tq_experiments.Adaptive.run_all ~quick ~workload () in
   if json then begin
-    let n = List.length outcomes in
-    print_string "{\n";
-    print_string (Tq_util.Bench_meta.json_fields ());
-    Printf.printf "  \"experiment\": \"adaptive\",\n";
-    Printf.printf "  \"workload\": %S,\n" workload.Tq_workload.Service_dist.name;
-    Printf.printf "  \"quick\": %b,\n" quick;
-    Printf.printf "  \"scenarios\": [\n";
-    List.iteri
-      (fun i (o : Tq_experiments.Adaptive.outcome) ->
-        Printf.printf "    {\"scenario\": %S, \"load\": %g, \"stall_intensity\": %g,\n"
-          o.spec.scenario o.spec.load o.spec.stall_intensity;
-        Printf.printf
-          "     \"adaptive_ratio\": %.4f, \"best_static_ratio\": %.4f, \"margin\": %.4f,\n"
-          o.adaptive_ratio o.best_static_ratio o.margin;
-        Printf.printf "     \"rows\": [\n";
-        let m = List.length o.rows in
-        List.iteri
-          (fun j (row : Tq_experiments.Adaptive.row) ->
-            let r = row.result in
-            Printf.printf
-              "       {\"setting\": %S, \"gated\": %b, \"goodput_ratio\": %.4f, \
-               \"goodput_rps\": %.0f, \"eventual_p99_us\": %.2f, \"shed\": %d, \
-               \"control_ticks\": %d, \"control_decisions\": %d}%s\n"
-              row.label row.gated
-              (Tq_fault.Fault_experiment.goodput_ratio r)
-              r.goodput_rps
-              (Tq_workload.Metrics.overall_eventual_percentile r.metrics 99.0 /. 1e3)
-              (Tq_workload.Metrics.rejections r.metrics)
-              r.control_ticks r.control_decisions
-              (if j = m - 1 then "" else ","))
-          o.rows;
-        Printf.printf "     ]}%s\n" (if i = n - 1 then "" else ","))
-      outcomes;
-    print_string "  ]\n}\n"
+    let row (row : Tq_experiments.Adaptive.row) =
+      let r = row.result in
+      J.Obj
+        [
+          ("setting", J.String row.label);
+          ("gated", J.Bool row.gated);
+          ("goodput_ratio", fixed 4 (Tq_fault.Fault_experiment.goodput_ratio r));
+          ("goodput_rps", fixed 0 r.goodput_rps);
+          ("eventual_p99_us", fixed 2 (eventual_p99_us r.metrics));
+          ("shed", int (Tq_workload.Metrics.rejections r.metrics));
+          ("control_ticks", int r.control_ticks);
+          ("control_decisions", int r.control_decisions);
+        ]
+    in
+    let scenario (o : Tq_experiments.Adaptive.outcome) =
+      J.Obj
+        [
+          ("scenario", J.String o.spec.scenario);
+          ("load", J.Number o.spec.load);
+          ("stall_intensity", J.Number o.spec.stall_intensity);
+          ("adaptive_ratio", fixed 4 o.adaptive_ratio);
+          ("best_static_ratio", fixed 4 o.best_static_ratio);
+          ("margin", fixed 4 o.margin);
+          ("rows", J.List (List.map row o.rows));
+        ]
+    in
+    Tq_util.Bench_meta.write stdout
+      [
+        ("experiment", J.String "adaptive");
+        ("workload", J.String workload.Tq_workload.Service_dist.name);
+        ("quick", J.Bool quick);
+        ("scenarios", J.List (List.map scenario outcomes));
+      ]
   end
   else
     List.iter

@@ -128,8 +128,6 @@ let render ?(prefix = "tq") registries =
     (List.sort compare !ordered);
   Buffer.contents buf
 
-let quantiles = [ (50.0, "0.5"); (90.0, "0.9"); (99.0, "0.99"); (99.9, "0.999") ]
-
 (* A latency registry renders as TWO families: the real histogram (log
    buckets, cumulative, +Inf-terminated — aggregatable by a scraper)
    and a pre-computed quantile summary under <fq>_quantiles for humans
@@ -169,12 +167,12 @@ let render_latency ?(prefix = "tq") ~name ?(labels = []) lat =
     (fun (rname, r) ->
       let lbl = labels @ [ ("class", rname) ] in
       List.iter
-        (fun (p, q) ->
+        (fun q ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %d\n" sq
-               (labels_str (lbl @ [ ("quantile", q) ]))
-               (Latency.percentile r p)))
-        quantiles;
+               (labels_str (lbl @ [ ("quantile", Latency.quantile_label q) ]))
+               (Latency.quantile r q)))
+        Latency.ladder;
       let sum, n = sum_count r in
       Buffer.add_string buf
         (Printf.sprintf "%s_sum%s %.0f\n" sq (labels_str lbl) sum);

@@ -37,10 +37,42 @@ let record r ns =
   Histogram.record r.hist (max 0 (min ns r.max_value))
 
 let count r = Histogram.count r.hist
-let percentile r p = if count r = 0 then 0 else Histogram.percentile r.hist p
+
+type quantile = P50 | P90 | P99 | P999
+
+let ladder = [ P50; P90; P99; P999 ]
+
+let percent = function P50 -> 50.0 | P90 -> 90.0 | P99 -> 99.0 | P999 -> 99.9
+let quantile_label = function P50 -> "0.5" | P90 -> "0.9" | P99 -> "0.99" | P999 -> "0.999"
+
+(* The one place a quantile becomes the histogram's percent. *)
+let quantile r q = if count r = 0 then 0 else Histogram.percentile r.hist (percent q)
+
 let mean r = Histogram.mean r.hist
 let max_ns r = Histogram.max_recorded r.hist
 let iter_buckets r f = Histogram.iter_buckets r.hist f
+
+(* Same rank rule as [quantile] (the ceil(q * n)-th sample, at least
+   the first), but placed inside its bucket by its position among the
+   bucket's samples instead of at the bucket's lower bound.  The top
+   bucket is only filled up to the largest sample, so it spans
+   [lo, max_ns] rather than its full width. *)
+let quantile_us r q =
+  let n = count r in
+  if n = 0 then 0.0
+  else begin
+    let rank = max 1 (int_of_float (ceil (percent q /. 100.0 *. float_of_int n))) in
+    let below = ref 0 and found = ref None in
+    iter_buckets r (fun ~lo ~hi ~count ->
+        if !found = None then
+          if !below + count >= rank then
+            let pos = float_of_int (rank - !below) /. float_of_int count in
+            let top = min (hi - 1) (max_ns r) in
+            found := Some (float_of_int lo +. (pos *. float_of_int (top - lo)))
+          else below := !below + count);
+    Option.value !found ~default:(float_of_int (max_ns r)) /. 1e3
+  end
+
 let clear r = Histogram.clear r.hist
 let clear_all t = Hashtbl.iter (fun _ r -> clear r) t.table
 
@@ -83,10 +115,10 @@ let dump t =
             p99.9 %8.2fus\n"
            name (count r)
            (if count r = 0 then 0.0 else mean r /. 1e3)
-           (us (percentile r 50.0))
-           (us (percentile r 90.0))
-           (us (percentile r 99.0))
-           (us (percentile r 99.9))))
+           (us (quantile r P50))
+           (us (quantile r P90))
+           (us (quantile r P99))
+           (us (quantile r P999))))
     (to_alist t);
   Buffer.contents b
 
@@ -96,10 +128,10 @@ let json_fields r =
      %.3f, \"p999_us\": %.3f, \"max_us\": %.3f"
     (count r)
     (if count r = 0 then 0.0 else mean r /. 1e3)
-    (us (percentile r 50.0))
-    (us (percentile r 90.0))
-    (us (percentile r 99.0))
-    (us (percentile r 99.9))
+    (us (quantile r P50))
+    (us (quantile r P90))
+    (us (quantile r P99))
+    (us (quantile r P999))
     (us (max_ns r))
 
 let to_json t =

@@ -46,9 +46,32 @@ val adopt : recorder -> unit
 (** Number of samples recorded. *)
 val count : recorder -> int
 
-(** [percentile r p] — a representative sample at percentile [p] (in
-    [0, 100]); 0 when empty. *)
-val percentile : recorder -> float -> int
+(** The quantiles the reports and expositions read.  A closed set, so
+    a call site cannot confuse a fraction with a percent ([0.99] read
+    as the 0.99th percentile is how a p99 column once reported the
+    1st percentile). *)
+type quantile = P50 | P90 | P99 | P999
+
+(** The standard ladder, in increasing order. *)
+val ladder : quantile list
+
+(** [quantile_label q] — [q] as a decimal fraction: ["0.99"] for
+    [P99]. *)
+val quantile_label : quantile -> string
+
+(** [quantile r q] — a representative sample at quantile [q]: the
+    lower bound of the histogram bucket that holds it (1/32 relative
+    resolution); 0 when empty.  What the Prometheus exposition, the
+    stage-breakdown table and {!dump} print. *)
+val quantile : recorder -> quantile -> int
+
+(** [quantile_us r q] — quantile [q] in microseconds, interpolated
+    linearly inside the bucket that holds it (never above {!max_ns});
+    0 when empty.  Neighbouring quantiles that share one 1/32-wide
+    bucket — p99 and p99.9 of a flat tail — stay distinct, which the
+    bucket lower bound cannot show.  The bench reports' [p50_us] /
+    [p99_us] / [p999_us] columns are this reader. *)
+val quantile_us : recorder -> quantile -> float
 
 (** Mean sample in nanoseconds; [nan] when empty. *)
 val mean : recorder -> float

@@ -324,9 +324,9 @@ let render t =
       [
         name;
         Tq_util.Text_table.cell_i (Latency.count r);
-        Tq_util.Text_table.cell_f (us (Latency.percentile r 50.0));
-        Tq_util.Text_table.cell_f (us (Latency.percentile r 90.0));
-        Tq_util.Text_table.cell_f (us (Latency.percentile r 99.0));
+        Tq_util.Text_table.cell_f (us (Latency.quantile r P50));
+        Tq_util.Text_table.cell_f (us (Latency.quantile r P90));
+        Tq_util.Text_table.cell_f (us (Latency.quantile r P99));
         Tq_util.Text_table.cell_f (float_of_int sum /. 1e6);
         Tq_util.Text_table.cell_f (100.0 *. share t sum);
       ]

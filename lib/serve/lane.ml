@@ -82,18 +82,15 @@ type conn = {
    The same discipline covers the acceptance ledger: [accepted] is
    [dispatched] by definition (admission happens before the tally) and
    [in_flight] is derived in [Server.set_gauges] from the same loads,
-   so [accepted = completed + lost + dropped + in_flight] is exact in
-   every render.  [t_lost] is stamped once at lane exit (requests still
-   pending after the drain deadline — dead-worker leftovers);
-   [t_dropped] is the structural reserve for a future queue-drop path,
-   0 today. *)
+   so [accepted = completed + lost + in_flight] is exact in every
+   render.  [t_lost] is stamped once at lane exit (requests still
+   pending after the drain deadline — dead-worker leftovers). *)
 type tallies = {
   mutable t_connections : int;
   mutable t_dispatched : int;
   mutable t_completed : int;
   mutable t_shed : int;
   mutable t_lost : int;
-  mutable t_dropped : int;
   mutable t_stats_served : int;
   mutable t_protocol_errors : int;
   mutable t_orphaned : int;
@@ -109,7 +106,6 @@ type counts = {
   completed : int;
   shed : int;
   lost : int;
-  dropped : int;
   stats_served : int;
   protocol_errors : int;
   orphaned : int;
@@ -201,7 +197,6 @@ let create sh ~id ~reg ~admission =
         t_completed = 0;
         t_shed = 0;
         t_lost = 0;
-        t_dropped = 0;
         t_stats_served = 0;
         t_protocol_errors = 0;
         t_orphaned = 0;
@@ -247,25 +242,26 @@ let open_conns t = Hashtbl.length t.conns
 let set_stats_renderer t f = t.render_stats <- Some f
 let set_tick t f = t.tick_hook <- Some f
 
-let counts t =
-  let s = t.tallies in
-  let dispatched = s.t_dispatched in
-  let shed = s.t_shed in
+let total lanes =
+  let sum f = Array.fold_left (fun acc t -> acc + f t.tallies) 0 lanes in
+  let dispatched = sum (fun s -> s.t_dispatched) in
+  let shed = sum (fun s -> s.t_shed) in
   {
-    connections = s.t_connections;
+    connections = sum (fun s -> s.t_connections);
     parsed = dispatched + shed;
     dispatched;
-    completed = s.t_completed;
+    completed = sum (fun s -> s.t_completed);
     shed;
-    lost = s.t_lost;
-    dropped = s.t_dropped;
-    stats_served = s.t_stats_served;
-    protocol_errors = s.t_protocol_errors;
-    orphaned = s.t_orphaned;
-    duplicates = s.t_duplicates;
-    redispatched = s.t_redispatched;
-    dead_workers = s.t_dead_workers;
+    lost = sum (fun s -> s.t_lost);
+    stats_served = sum (fun s -> s.t_stats_served);
+    protocol_errors = sum (fun s -> s.t_protocol_errors);
+    orphaned = sum (fun s -> s.t_orphaned);
+    duplicates = sum (fun s -> s.t_duplicates);
+    redispatched = sum (fun s -> s.t_redispatched);
+    dead_workers = sum (fun s -> s.t_dead_workers);
   }
+
+let counts t = total [| t |]
 
 let in_flight t = t.tallies.t_dispatched - t.tallies.t_completed
 let span_dropped t = Span.sink_dropped t.sink
@@ -720,6 +716,6 @@ let run t =
   (* Anything still pending after the drain gave up is lost for good
      (dead-worker leftovers whose re-dispatch never landed): stamp it
      so the acceptance ledger closes — accepted = completed + lost +
-     dropped + in_flight, with in_flight 0 once every lane exits. *)
+     in_flight, with in_flight 0 once every lane exits. *)
   t.tallies.t_lost <- Hashtbl.length t.pending;
   List.iter (fun c -> close_conn t c) (conn_list t)

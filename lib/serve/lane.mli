@@ -49,16 +49,15 @@ type shared = {
 (** One lane. *)
 type t
 
-(** A consistent-on-join snapshot of one lane's tallies; field meanings
-    match [Server.stats].  [parsed] is derived as
-    [dispatched + shed] from the same two loads the record reports, so
-    the accounting identity holds {e exactly} in every snapshot — even
-    one rendered by another lane racing this lane's dispatch path.
-    [lost] counts requests still pending when the lane exited (their
-    worker died and re-dispatch never landed); [dropped] is the
-    structural reserve for a future queue-drop path, 0 today — both
-    feed the [accepted = completed + lost + dropped + in_flight]
-    ledger the server derives. *)
+(** A consistent-on-join snapshot of lane tallies; field meanings are
+    documented on [Server.stats], which is this type.  [parsed] is
+    derived as [dispatched + shed] from the same two loads the record
+    reports, so the accounting identity holds {e exactly} in every
+    snapshot — even one rendered by another lane racing this lane's
+    dispatch path.  [lost] counts requests still pending when the lane
+    exited (their worker died and re-dispatch never landed); it feeds
+    the [accepted = completed + lost + in_flight] ledger the server
+    derives. *)
 type counts = {
   connections : int;
   parsed : int;
@@ -66,7 +65,6 @@ type counts = {
   completed : int;
   shed : int;
   lost : int;
-  dropped : int;
   stats_served : int;
   protocol_errors : int;
   orphaned : int;
@@ -103,6 +101,9 @@ val open_conns : t -> int
 (** Snapshot of the lane's tallies (plain cross-lane reads: eventually
     consistent live, exact after the lane's domain joins). *)
 val counts : t -> counts
+
+(** [total lanes] — the tallies summed over [lanes], one snapshot. *)
+val total : t array -> counts
 
 (** Requests dispatched but not yet completed by this lane. *)
 val in_flight : t -> int

@@ -137,7 +137,7 @@ let run config =
     Array.init Protocol.class_count (fun i ->
         Latency.recorder latency (Protocol.class_name i))
   in
-  (* req_id -> (send time, class, sent inside the measurement window) *)
+  (* req_id -> (due time, class, due inside the measurement window) *)
   let pending : (int, int * int * bool) Hashtbl.t = Hashtbl.create 4096 in
   let sent = ref 0
   and received = ref 0
@@ -278,6 +278,10 @@ let run config =
            (* fire every arrival the schedule owes us — open loop, the
               generator never waits for the server *)
            while !sending && !next_send <= float_of_int now do
+             (* stamp the schedule's due time, not [now]: a generator
+                that falls behind shows up as latency, not as a
+                lighter offered load (coordinated omission) *)
+             let due = int_of_float !next_send in
              let req = sample_request rng config.mix in
              let req_id = !next_id in
              incr next_id;
@@ -287,9 +291,9 @@ let run config =
              Buffer.clear c.scratch;
              Protocol.encode_request c.scratch ~req_id req;
              Protocol.Outbuf.add_buffer c.out c.scratch;
-             let measured = now >= warmup_end && now < measure_end in
+             let measured = due >= warmup_end && due < measure_end in
              Hashtbl.replace pending req_id
-               (now, Protocol.class_of_request req, measured);
+               (due, Protocol.class_of_request req, measured);
              incr sent;
              if measured then incr measured_sent;
              progress := true;

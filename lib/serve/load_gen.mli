@@ -9,9 +9,10 @@
     The run has a warmup window (responses ignored for recording),
     then a measurement window (per-class wall-clock latencies into a
     {!Tq_obs.Latency} registry), then a grace period draining
-    still-outstanding responses.  Latency is measured send-to-response
-    per request id; requests are matched by the ids the server
-    echoes. *)
+    still-outstanding responses.  Latency is measured from each
+    request's Poisson due time to its response, so a generator that
+    sends late still charges the wait (no coordinated omission);
+    requests are matched by the ids the server echoes. *)
 
 (** Request mix, sampled per arrival. *)
 type mix = {
@@ -73,7 +74,7 @@ type result = {
   ok : int;
   shed : int;  (** admission rejections *)
   errors : int;  (** handler failures *)
-  measured_sent : int;  (** sent inside the measurement window *)
+  measured_sent : int;  (** sent with a due time inside the measurement window *)
   measured_ok : int;  (** their [Ok] responses *)
   throughput_rps : float;  (** [measured_ok] over the window *)
   latency : Tq_obs.Latency.t;

@@ -66,14 +66,13 @@ let default_config =
     pool_buf_bytes = 4096;
   }
 
-type stats = {
+type stats = Lane.counts = {
   connections : int;
   parsed : int;
   dispatched : int;
   completed : int;
   shed : int;
   lost : int;
-  dropped : int;
   stats_served : int;
   protocol_errors : int;
   orphaned : int;
@@ -209,43 +208,7 @@ let stop t = Atomic.set t.shared.Lane.stop_flag true
 (* Cross-lane sums over each lane's plain tallies: never torn
    (word-sized loads), eventually consistent live, exact once [serve]
    returned (domain join orders every lane write before the read). *)
-let stats t =
-  let z =
-    {
-      connections = 0;
-      parsed = 0;
-      dispatched = 0;
-      completed = 0;
-      shed = 0;
-      lost = 0;
-      dropped = 0;
-      stats_served = 0;
-      protocol_errors = 0;
-      orphaned = 0;
-      duplicates = 0;
-      redispatched = 0;
-      dead_workers = 0;
-    }
-  in
-  Array.fold_left
-    (fun acc lane ->
-      let c = Lane.counts lane in
-      {
-        connections = acc.connections + c.Lane.connections;
-        parsed = acc.parsed + c.Lane.parsed;
-        dispatched = acc.dispatched + c.Lane.dispatched;
-        completed = acc.completed + c.Lane.completed;
-        shed = acc.shed + c.Lane.shed;
-        lost = acc.lost + c.Lane.lost;
-        dropped = acc.dropped + c.Lane.dropped;
-        stats_served = acc.stats_served + c.Lane.stats_served;
-        protocol_errors = acc.protocol_errors + c.Lane.protocol_errors;
-        orphaned = acc.orphaned + c.Lane.orphaned;
-        duplicates = acc.duplicates + c.Lane.duplicates;
-        redispatched = acc.redispatched + c.Lane.redispatched;
-        dead_workers = acc.dead_workers + c.Lane.dead_workers;
-      })
-    z t.lanes
+let stats t = Lane.total t.lanes
 
 let in_flight t = Array.fold_left (fun acc l -> acc + Lane.in_flight l) 0 t.lanes
 let open_conns t = Array.fold_left (fun acc l -> acc + Lane.open_conns l) 0 t.lanes
@@ -272,14 +235,13 @@ let span_dropped t =
 let set_gauges t reg =
   let g name v = Counters.set (Counters.gauge reg name) (float_of_int v) in
   (* The acceptance ledger, derived from ONE tallies snapshot so the
-     [accepted = completed + lost + dropped + in_flight] identity holds
-     exactly in every render (four independently read cells could be
-     observed mid-bump). *)
+     [accepted = completed + lost + in_flight] identity holds exactly
+     in every render (independently read cells could be observed
+     mid-bump). *)
   let s = stats t in
   g "serve.accepted" s.dispatched;
   g "serve.lost" s.lost;
-  g "serve.dropped" s.dropped;
-  g "serve.in_flight" (s.dispatched - s.completed - s.lost - s.dropped);
+  g "serve.in_flight" (s.dispatched - s.completed - s.lost);
   g "serve.open_connections" (open_conns t);
   g "serve.alive_workers" (Parallel.alive_workers t.pool);
   g "serve.ring_occupancy" (ring_occupancy t);
@@ -327,15 +289,15 @@ let snapshot_json t =
     (Printf.sprintf
        "  \"connections\": %d,\n  \"open_connections\": %d,\n  \"parsed\": %d,\n  \
         \"dispatched\": %d,\n  \"completed\": %d,\n  \"shed\": %d,\n  \
-        \"lost\": %d,\n  \"dropped\": %d,\n  \
+        \"lost\": %d,\n  \
         \"stats_served\": %d,\n  \"protocol_errors\": %d,\n  \"orphaned\": %d,\n  \
         \"duplicates\": %d,\n  \"redispatched\": %d,\n  \"dead_workers\": %d,\n  \
         \"in_flight\": %d,\n  \"workers\": %d,\n  \"alive_workers\": %d,\n  \
         \"ring_occupancy\": %d,\n"
        s.connections (open_conns t) s.parsed s.dispatched s.completed s.shed s.lost
-       s.dropped s.stats_served s.protocol_errors s.orphaned s.duplicates
-       s.redispatched s.dead_workers
-       (s.dispatched - s.completed - s.lost - s.dropped)
+       s.stats_served s.protocol_errors s.orphaned s.duplicates s.redispatched
+       s.dead_workers
+       (s.dispatched - s.completed - s.lost)
        (Parallel.workers t.pool)
        (Parallel.alive_workers t.pool)
        (ring_occupancy t));

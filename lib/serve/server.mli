@@ -91,7 +91,7 @@ type config = {
 val default_config : config
 
 (** Dispatcher-side request accounting (a snapshot; see {!stats}). *)
-type stats = {
+type stats = Lane.counts = {
   connections : int;  (** connections accepted over the lifetime *)
   parsed : int;  (** request-work frames successfully decoded *)
   dispatched : int;  (** admitted and handed to a worker *)
@@ -100,11 +100,8 @@ type stats = {
   lost : int;
       (** admitted requests still pending when their lane exited (their
           worker died and re-dispatch never landed); 0 after a clean
-          drain *)
-  dropped : int;
-      (** structural reserve for a future queue-drop path, 0 today;
-          together with [lost] it closes the acceptance ledger
-          [accepted = completed + lost + dropped + in_flight] *)
+          drain; it closes the acceptance ledger
+          [accepted = completed + lost + in_flight] *)
   stats_served : int;
       (** Stats RPCs answered at the dispatcher (not counted in
           [parsed], so [parsed = dispatched + shed] stays exact) *)

@@ -55,3 +55,18 @@ let humanize_duration secs =
 let json_fields ?(indent = "  ") () =
   Printf.sprintf "%s\"schema_version\": %d,\n%s\"generated_at\": \"%s\",\n" indent
     schema_version indent (generated_at ())
+
+let int n = Json.Number (float_of_int n)
+
+(* Through the printed digits, so a report holds exactly what a %.Nf
+   emitter would have written. *)
+let fixed digits x =
+  if Float.is_finite x then Json.Number (float_of_string (Printf.sprintf "%.*f" digits x))
+  else Json.Null
+
+let write oc fields =
+  let header =
+    [ ("schema_version", int schema_version); ("generated_at", Json.String (generated_at ())) ]
+  in
+  output_string oc (Json.to_string_indented (Json.Obj (header @ fields)));
+  output_char oc '\n'

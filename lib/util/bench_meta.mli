@@ -1,4 +1,5 @@
-(** Shared provenance header for every emitted BENCH_*.json report.
+(** Shared provenance header for every emitted BENCH_*.json report, and
+    the one writer the bench and [tq_sim] reports go through.
 
     Each report opens with a [schema_version] (so {!Bench_diff} can
     refuse mismatched layouts) and a [generated_at] ISO-8601 UTC
@@ -31,3 +32,15 @@ val humanize_duration : float -> string
     with [indent] (default two spaces) and newline-terminated, ready to
     splice right after an emitter's opening brace. *)
 val json_fields : ?indent:string -> unit -> string
+
+(** [int n] — [n] as a JSON number. *)
+val int : int -> Json.t
+
+(** [fixed digits x] — [x] rounded to [digits] decimals, exactly as
+    [Printf "%.*f"] prints it; [null] for nan and infinities. *)
+val fixed : int -> float -> Json.t
+
+(** [write oc fields] prints one report to [oc]: the
+    [schema_version] / [generated_at] header, then [fields], through
+    {!Json.to_string_indented}, newline-terminated. *)
+val write : out_channel -> (string * Json.t) list -> unit

@@ -1,11 +1,11 @@
 (* A minimal JSON reader/writer for the BENCH_*.json reports.
 
-   The repo emits its benchmark reports by hand (Printf into a Buffer)
-   and, until now, never read them back.  tq_bench_diff needs to: it
-   loads a freshly generated report and the committed baseline and
-   compares them field by field.  This is a small recursive-descent
-   parser over the full JSON grammar — numbers parse as floats, which
-   is exactly the precision the diff tolerances work at. *)
+   The bench and tq_sim reports are built as [t] values and printed
+   here; tq_bench_diff reads them back: it loads a freshly generated
+   report and the committed baseline and compares them field by field.
+   The reader is a small recursive-descent parser over the full JSON
+   grammar — numbers parse as floats, which is exactly the precision
+   the diff tolerances work at. *)
 
 type t =
   | Null
@@ -199,9 +199,15 @@ let escape s =
     s;
   Buffer.contents b
 
+(* The shortest of %.15g / %.17g that reads back as the same float, so
+   a report keeps every digit its emitter rounded to; JSON has no
+   spelling for nan or infinity. *)
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
+  else if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec to_string = function
   | Null -> "null"
@@ -214,6 +220,30 @@ let rec to_string = function
       ^ String.concat ", "
           (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v) members)
       ^ "}"
+
+let is_scalar = function List _ | Obj _ -> false | _ -> true
+
+(* [top] always breaks; below it, a container breaks only when it
+   holds a container. *)
+let rec indented ~top indent v =
+  let inner = indent ^ "  " in
+  let block opening closing items =
+    opening ^ "\n" ^ inner
+    ^ String.concat (",\n" ^ inner) items
+    ^ "\n" ^ indent ^ closing
+  in
+  match v with
+  | List (_ :: _ as l) when top || not (List.for_all is_scalar l) ->
+      block "[" "]" (List.map (indented ~top:false inner) l)
+  | Obj (_ :: _ as members) when top || not (List.for_all (fun (_, v) -> is_scalar v) members)
+    ->
+      block "{" "}"
+        (List.map
+           (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ indented ~top:false inner v)
+           members)
+  | v -> to_string v
+
+let to_string_indented v = indented ~top:true "" v
 
 let member name = function
   | Obj members -> List.assoc_opt name members

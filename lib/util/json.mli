@@ -1,8 +1,8 @@
 (** Minimal JSON reader/writer for the BENCH_*.json reports.
 
-    The benchmark reports are emitted by hand throughout the repo;
-    [tq_bench_diff] reads them back to compare a fresh run against the
-    committed baseline.  Numbers parse as floats — the precision the
+    The bench and [tq_sim] reports are built as {!t} values and printed
+    with {!to_string_indented}; [tq_bench_diff] reads them back to
+    compare a fresh run against the committed baseline.  Numbers parse as floats — the precision the
     diff tolerances work at. *)
 
 (** A parsed JSON value.  Object member order is preserved. *)
@@ -21,8 +21,16 @@ val of_string : string -> (t, string) result
 (** [of_file path] reads and parses [path]. *)
 val of_file : string -> (t, string) result
 
-(** [to_string v] renders [v] on one line (stable member order). *)
+(** [to_string v] renders [v] on one line (stable member order).
+    Numbers print with as many digits as they need to read back
+    exactly; nan and infinities print as [null]. *)
 val to_string : t -> string
+
+(** [to_string_indented v] — [v] over several lines: the outermost
+    object or list, and any below it that holds an object or list, put
+    one member per line, indented two spaces a level; one holding only
+    scalars stays on one line (a report row, a mix). *)
+val to_string_indented : t -> string
 
 (** [member name v] — the named member of an object, [None] for missing
     members and non-objects. *)

@@ -255,11 +255,34 @@ let test_latency_percentiles () =
     if err > 0.05 then
       Alcotest.failf "%s: expected ~%.0f, got %d (err %.3f)" pct expect got err
   in
-  within "p50" 5_000_000.0 (Latency.percentile r 50.0);
-  within "p99" 9_900_000.0 (Latency.percentile r 99.0);
-  within "p99.9" 9_990_000.0 (Latency.percentile r 99.9);
+  within "p50" 5_000_000.0 (Latency.quantile r P50);
+  within "p99" 9_900_000.0 (Latency.quantile r P99);
+  within "p99.9" 9_990_000.0 (Latency.quantile r P999);
   within "mean" 5_000_500.0 (int_of_float (Latency.mean r));
   within "max" 10_000_000.0 (Latency.max_ns r)
+
+(* The reports' p50_us / p99_us / p999_us columns are [quantile_us]:
+   pin it on a flat 1..100000 us ladder, where p99 and p99.9 share one
+   1/32-wide bucket — a reader that returns the bucket floor (or one
+   handed a fraction where it wants a percent) reports them equal. *)
+let test_latency_report_quantiles () =
+  let reg = Latency.create () in
+  let r = Latency.recorder reg "flat" in
+  for us = 1 to 100_000 do
+    Latency.record r (us * 1_000)
+  done;
+  let pin label expect q =
+    let got = Latency.quantile_us r q in
+    if Float.abs (got -. expect) > 0.001 *. expect then
+      Alcotest.failf "%s: expected %.0f us, got %.1f us" label expect got;
+    got
+  in
+  let p50 = pin "p50" 50_000.0 P50 in
+  let p99 = pin "p99" 99_000.0 P99 in
+  let p999 = pin "p99.9" 99_900.0 P999 in
+  Alcotest.(check bool) "p50 < p99 < p99.9" true (p50 < p99 && p99 < p999);
+  check (Alcotest.float 0.0) "empty recorder" 0.0
+    (Latency.quantile_us (Latency.recorder reg "empty") P99)
 
 let test_latency_registry () =
   let reg = Latency.create () in
@@ -273,7 +296,7 @@ let test_latency_registry () =
     Alcotest.(list string)
     "sorted names" [ "alpha"; "beta" ]
     (List.map fst (Latency.to_alist reg));
-  check Alcotest.int "empty percentile" 0 (Latency.percentile (Latency.recorder reg "nope") 50.0);
+  check Alcotest.int "empty percentile" 0 (Latency.quantile (Latency.recorder reg "nope") P50);
   Latency.clear b;
   check Alcotest.int "cleared" 0 (Latency.count b);
   check Alcotest.int "other survives clear" 1 (Latency.count a);
@@ -308,8 +331,7 @@ let test_latency_percentile_props =
       List.iter (Latency.record r) samples;
       let lo = List.fold_left min max_int samples in
       let hi = List.fold_left max 0 samples in
-      let ps = [ 0.0; 10.0; 25.0; 50.0; 75.0; 90.0; 99.0; 99.9; 100.0 ] in
-      let vals = List.map (Latency.percentile r) ps in
+      let vals = List.map (Latency.quantile r) Latency.ladder in
       let rec monotone = function
         | a :: (b :: _ as rest) -> a <= b && monotone rest
         | _ -> true
@@ -639,6 +661,7 @@ let suite =
     Alcotest.test_case "timeseries csv" `Quick test_timeseries_csv;
     Alcotest.test_case "timeseries growth" `Quick test_timeseries_growth;
     Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
+    Alcotest.test_case "latency report quantiles" `Quick test_latency_report_quantiles;
     Alcotest.test_case "latency registry" `Quick test_latency_registry;
     Alcotest.test_case "latency clamps + json" `Quick test_latency_clamps;
     test_latency_percentile_props;

@@ -375,67 +375,6 @@ let suite =
     Alcotest.test_case "parallel balances" `Quick test_parallel_balances;
   ]
 
-(* --- MPSC buffer pool --- *)
-
-let test_pool_alloc_all_distinct () =
-  let pool = Mpsc_pool.create ~capacity:8 in
-  let allocated = List.init 8 (fun _ -> Option.get (Mpsc_pool.alloc pool)) in
-  check Alcotest.int "all allocated" 8 (List.length (List.sort_uniq compare allocated));
-  check Alcotest.(option int) "exhausted" None (Mpsc_pool.alloc pool);
-  check Alcotest.int "free count" 0 (Mpsc_pool.free_count pool)
-
-let test_pool_release_recycles () =
-  let pool = Mpsc_pool.create ~capacity:2 in
-  let a = Option.get (Mpsc_pool.alloc pool) in
-  let b = Option.get (Mpsc_pool.alloc pool) in
-  Mpsc_pool.release pool a;
-  check Alcotest.(option int) "recycled" (Some a) (Mpsc_pool.alloc pool);
-  Mpsc_pool.release pool b;
-  Mpsc_pool.release pool a;
-  check Alcotest.int "both free" 2 (Mpsc_pool.free_count pool)
-
-let test_pool_rejects_bad_release () =
-  let pool = Mpsc_pool.create ~capacity:2 in
-  Alcotest.check_raises "oob" (Invalid_argument "Mpsc_pool.release: bad buffer id")
-    (fun () -> Mpsc_pool.release pool 2)
-
-let test_pool_multi_producer_release () =
-  (* Dispatcher allocates, two worker domains release concurrently; the
-     pool must conserve buffers. *)
-  let capacity = 64 in
-  let pool = Mpsc_pool.create ~capacity in
-  let rounds = 5_000 in
-  let to_release = Spsc_ring.create ~capacity and to_release2 = Spsc_ring.create ~capacity in
-  let stop = Atomic.make false in
-  let releaser ring =
-    Domain.spawn (fun () ->
-        let released = ref 0 in
-        while (not (Atomic.get stop)) || Spsc_ring.length ring > 0 do
-          match Spsc_ring.try_pop ring with
-          | Some buf ->
-              Mpsc_pool.release pool buf;
-              incr released
-          | None -> Domain.cpu_relax ()
-        done;
-        !released)
-  in
-  let d1 = releaser to_release and d2 = releaser to_release2 in
-  let sent = ref 0 in
-  while !sent < rounds do
-    match Mpsc_pool.alloc pool with
-    | Some buf ->
-        let ring = if !sent land 1 = 0 then to_release else to_release2 in
-        while not (Spsc_ring.try_push ring buf) do
-          Domain.cpu_relax ()
-        done;
-        incr sent
-    | None -> Domain.cpu_relax ()
-  done;
-  Atomic.set stop true;
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  check Alcotest.int "every buffer released" rounds (r1 + r2);
-  check Alcotest.int "pool conserved" capacity (Mpsc_pool.free_count pool)
-
 (* --- Parallel: the persistent handle API behind tq_serve --- *)
 
 let test_parallel_handle_lifecycle () =
@@ -508,10 +447,6 @@ let test_parallel_shutdown_drains_backlog () =
 (* appended to the runtime suite *)
 let pool_suite =
   [
-    Alcotest.test_case "pool alloc distinct" `Quick test_pool_alloc_all_distinct;
-    Alcotest.test_case "pool recycles" `Quick test_pool_release_recycles;
-    Alcotest.test_case "pool bad release" `Quick test_pool_rejects_bad_release;
-    Alcotest.test_case "pool multi-producer" `Quick test_pool_multi_producer_release;
     Alcotest.test_case "parallel handle lifecycle" `Quick test_parallel_handle_lifecycle;
     Alcotest.test_case "parallel shutdown fence" `Quick test_parallel_submit_after_shutdown;
     Alcotest.test_case "parallel pick" `Quick test_parallel_pick_least_loaded;
